@@ -18,6 +18,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 (fast, no slow-marked tests) =="
 python -m pytest -x -q -m "not slow"
 
+echo "== benchmark tests (perfbench/: stats, load generator, spans, workloads) =="
+python -m pytest -q perfbench/tests
+
 echo "== fault-injection suite (fixed seeds, includes slow tests) =="
 python -m pytest -q tests/test_resilience.py
 
@@ -654,6 +657,16 @@ try:
                    "repro_ingest_journal_offset",
                    "repro_ingest_freshness_seconds_bucket"):
         assert needle in metrics, (needle, metrics)
+
+    # The live advance rendered state.json from its per-combination
+    # cache: the bytes must be what a cold render of the state loaded
+    # back from them writes.
+    from repro.ingest.state import load_state, state_path_for
+
+    journal = f"{ingest_dir}/journal"
+    assert state_path_for(journal).read_text() == json.dumps(
+        load_state(journal).to_dict(), indent=1, sort_keys=True
+    ), "state.json does not re-render byte-identically"
 
     # Second publish path: `repro ingest` appends to the same journal
     # from another process and rewrites the artefacts; a plain file

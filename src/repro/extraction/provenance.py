@@ -43,7 +43,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Collection, Iterable, Mapping
 
 from ..core.params import ModelParameters
 from ..core.types import Polarity, PropertyTypeKey
@@ -169,16 +170,18 @@ class ProvenanceLedger:
                 f"{samples_per_polarity}"
             )
         self.samples_per_polarity = int(samples_per_polarity)
-        # One flat dict keyed by (property, entity_type, entity_id),
-        # value [positive_seen, negative_seen, pos_samples,
-        # neg_samples]. The flat tuple key hashes several times
+        # Slots nested by (property, entity_type), then entity id;
+        # each value is [positive_seen, negative_seen, pos_samples,
+        # neg_samples]. The plain tuple key hashes several times
         # cheaper than constructing a PropertyTypeKey per statement,
-        # and the split sample lists turn the per-polarity cap check
-        # into one len(). Samples are held as plain field tuples
+        # the per-combination level lets a reader take one
+        # combination's pairs without scanning the rest, and the
+        # split sample lists turn the per-polarity cap check into one
+        # len(). Samples are held as plain field tuples
         # (:class:`ProvenanceSample` construction costs ~5x a tuple;
         # per-shard ledgers build several times more samples than
         # survive the merge cap) and materialized by the views.
-        self._slots: dict[tuple[Any, str, str], list[Any]] = {}
+        self._slots: dict[tuple[Any, str], dict[str, list[Any]]] = {}
         # Memoized statement-proto tuples already sampled, keyed by
         # identity. The value keeps a strong reference so the id can
         # never be recycled for a different live line. Repeat visits
@@ -204,16 +207,11 @@ class ProvenanceLedger:
         seen once. The fast path uses :meth:`sample_line` plus
         :meth:`seed_totals` instead.
         """
-        slots = self._slots
-        pair_key = (
+        slot = self._slot(
             statement.property,
             statement.entity_type,
             statement.entity_id,
         )
-        slot = slots.get(pair_key)
-        if slot is None:
-            slot = [0, 0, [], []]
-            slots[pair_key] = slot
         if statement.polarity is Polarity.POSITIVE:
             slot[0] += 1
             samples: list[tuple] = slot[2]
@@ -252,15 +250,18 @@ class ProvenanceLedger:
         cap = self.samples_per_polarity
         slots = self._slots
         for statement in statements:
-            pair_key = (
-                statement.property,
-                statement.entity_type,
-                statement.entity_id,
+            per_key = slots.get(
+                (statement.property, statement.entity_type)
             )
-            slot = slots.get(pair_key)
+            slot = None if per_key is None else per_key.get(
+                statement.entity_id
+            )
             if slot is None:
-                slot = [0, 0, [], []]
-                slots[pair_key] = slot
+                slot = self._slot(
+                    statement.property,
+                    statement.entity_type,
+                    statement.entity_id,
+                )
             if statement.polarity is Polarity.POSITIVE:
                 samples: list[tuple] = slot[2]
                 polarity = "positive"
@@ -278,7 +279,11 @@ class ProvenanceLedger:
                 statement.sentence[:MAX_SENTENCE_CHARS],
             ))
 
-    def seed_totals(self, counter: Any) -> None:
+    def seed_totals(
+        self,
+        counter: Any,
+        keys: Iterable[PropertyTypeKey] | None = None,
+    ) -> None:
         """Copy exact per-pair totals from an ``EvidenceCounter``.
 
         The counter counts every statement occurrence already; doing
@@ -286,28 +291,28 @@ class ProvenanceLedger:
         bookkeeping. The runner calls this once after the shard merge,
         making ``positive_seen``/``negative_seen`` exact regardless of
         which capture path (memoized or reference) recorded samples.
+        ``keys`` limits the copy to those combinations (the ones whose
+        counts changed); by default every combination is copied.
         """
-        slots = self._slots
-        for key, per_entity in counter.as_evidence().items():
+        for key in counter.keys() if keys is None else keys:
             prop = key.property
             entity_type = key.entity_type
-            for entity_id, counts in per_entity.items():
-                pair_key = (prop, entity_type, entity_id)
-                slot = slots.get(pair_key)
-                if slot is None:
-                    slot = [0, 0, [], []]
-                    slots[pair_key] = slot
+            for entity_id, counts in counter.counts_for(key).items():
+                slot = self._slot(prop, entity_type, entity_id)
                 slot[0] = counts.positive
                 slot[1] = counts.negative
 
-    def _seed_slot(
-        self, key: PropertyTypeKey, entity_id: str
+    def _slot(
+        self, prop: Any, entity_type: str, entity_id: str
     ) -> list[Any]:
-        pair_key = (key.property, key.entity_type, entity_id)
-        slot = self._slots.get(pair_key)
+        per_key = self._slots.get((prop, entity_type))
+        if per_key is None:
+            per_key = {}
+            self._slots[(prop, entity_type)] = per_key
+        slot = per_key.get(entity_id)
         if slot is None:
             slot = [0, 0, [], []]
-            self._slots[pair_key] = slot
+            per_key[entity_id] = slot
         return slot
 
     def seed_pair(
@@ -317,7 +322,7 @@ class ProvenanceLedger:
         pair: PairProvenance,
     ) -> None:
         """Load one pair's persisted lineage (checkpoint read path)."""
-        slot = self._seed_slot(key, entity_id)
+        slot = self._slot(key.property, key.entity_type, entity_id)
         slot[0] = pair.positive_seen
         slot[1] = pair.negative_seen
         slot[2] = [
@@ -339,55 +344,60 @@ class ProvenanceLedger:
         deterministic because the runner merges shards sorted by id.
         """
         cap = self.samples_per_polarity
-        for pair_key, (pos, neg, pos_s, neg_s) in other._slots.items():
-            slot = self._slots.get(pair_key)
-            if slot is None:
-                slot = [0, 0, [], []]
-                self._slots[pair_key] = slot
-            slot[0] += pos
-            slot[1] += neg
-            room = cap - len(slot[2])
-            if room > 0:
-                slot[2].extend(pos_s[:room])
-            room = cap - len(slot[3])
-            if room > 0:
-                slot[3].extend(neg_s[:room])
+        for (prop, entity_type), per_key in other._slots.items():
+            for entity_id, (pos, neg, pos_s, neg_s) in per_key.items():
+                slot = self._slot(prop, entity_type, entity_id)
+                slot[0] += pos
+                slot[1] += neg
+                room = cap - len(slot[2])
+                if room > 0:
+                    slot[2].extend(pos_s[:room])
+                room = cap - len(slot[3])
+                if room > 0:
+                    slot[3].extend(neg_s[:room])
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
     @property
     def n_pairs(self) -> int:
-        return len(self._slots)
+        return sum(len(per_key) for per_key in self._slots.values())
 
     @property
     def n_samples(self) -> int:
         return sum(
             len(slot[2]) + len(slot[3])
-            for slot in self._slots.values()
+            for per_key in self._slots.values()
+            for slot in per_key.values()
         )
+
+    def keys(self) -> list[PropertyTypeKey]:
+        """Combinations with lineage, in first-seen order."""
+        return [
+            PropertyTypeKey(property=prop, entity_type=entity_type)
+            for prop, entity_type in self._slots
+        ]
 
     def for_pair(
         self, key: PropertyTypeKey, entity_id: str
     ) -> PairProvenance | None:
         slot = self._slots.get(
-            (key.property, key.entity_type, entity_id)
-        )
+            (key.property, key.entity_type), {}
+        ).get(entity_id)
         if slot is None:
             return None
         return _pair_from_slot(slot)
 
-    def pairs(
-        self,
-    ) -> Iterator[tuple[PropertyTypeKey, str, PairProvenance]]:
-        for (prop, entity_type, entity_id), slot in self._slots.items():
-            yield (
-                PropertyTypeKey(
-                    property=prop, entity_type=entity_type
-                ),
-                entity_id,
-                _pair_from_slot(slot),
-            )
+    def pairs_for(
+        self, key: PropertyTypeKey
+    ) -> dict[str, PairProvenance]:
+        """One combination's pairs by entity id, in first-seen order."""
+        return {
+            entity_id: _pair_from_slot(slot)
+            for entity_id, slot in self._slots.get(
+                (key.property, key.entity_type), {}
+            ).items()
+        }
 
 
 class ProvenanceIndex:
@@ -413,11 +423,26 @@ class ProvenanceIndex:
         ledger: ProvenanceLedger,
         result: "SurveyorResult | None" = None,
         convergence: "list[ConvergenceRecord] | None" = None,
+        *,
+        previous: "ProvenanceIndex | None" = None,
+        dirty: Collection[PropertyTypeKey] = (),
     ) -> "ProvenanceIndex":
-        """Link a run's ledger to its fits and convergence records."""
+        """Link a run's ledger to its fits and convergence records.
+
+        ``previous`` is an index built from the same ledger and fits
+        before only the ``dirty`` combinations changed: every other
+        combination keeps its pair mapping and convergence summary
+        (the same objects, never copies), so an incremental advance
+        pays for the combinations it dirtied.
+        """
+        kept_pairs = {} if previous is None else previous._pairs
+        kept_summaries = (
+            {} if previous is None else previous._convergence
+        )
         pairs: dict[PropertyTypeKey, dict[str, PairProvenance]] = {}
-        for key, entity_id, pair in ledger.pairs():
-            pairs.setdefault(key, {})[entity_id] = pair
+        for key in ledger.keys():
+            kept = None if key in dirty else kept_pairs.get(key)
+            pairs[key] = ledger.pairs_for(key) if kept is None else kept
         models: dict[PropertyTypeKey, ModelParameters] = {}
         by_text: dict[str, PropertyTypeKey] = {}
         if result is not None:
@@ -431,7 +456,8 @@ class ProvenanceIndex:
             key = by_text.get(record.key)
             if key is None:
                 continue
-            summaries[key] = {
+            kept = None if key in dirty else kept_summaries.get(key)
+            summaries[key] = kept if kept is not None else {
                 "verdict": record.verdict,
                 "iterations": record.iterations,
                 "converged": record.converged,
@@ -470,8 +496,22 @@ class ProvenanceIndex:
     def models(self) -> dict[PropertyTypeKey, ModelParameters]:
         return dict(self._models)
 
-    def convergence(self) -> dict[PropertyTypeKey, dict[str, Any]]:
-        return {k: dict(v) for k, v in self._convergence.items()}
+    @property
+    def pairs_by_key(
+        self,
+    ) -> Mapping[PropertyTypeKey, Mapping[str, PairProvenance]]:
+        """Read-only view of every combination's pair mapping: the
+        index's own objects, so an unchanged combination is the same
+        object across indexes linked through ``from_run(previous=)``."""
+        return MappingProxyType(self._pairs)
+
+    @property
+    def convergence_by_key(
+        self,
+    ) -> Mapping[PropertyTypeKey, Mapping[str, Any]]:
+        """Read-only view of the convergence summaries, shared the
+        same way as :attr:`pairs_by_key`."""
+        return MappingProxyType(self._convergence)
 
     @property
     def n_pairs(self) -> int:

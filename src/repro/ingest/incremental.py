@@ -22,6 +22,14 @@ opinion table without re-running the batch pipeline:
    are written with the same atomic writers the batch CLI uses; a
    server then pushes them through its validated hot-reload swap.
 
+Everything after the journal append costs the combinations an advance
+dirtied, not the whole table: a clean combination keeps its opinion
+rows, its lineage in the :class:`ProvenanceIndex`, and its rendered
+text in ``state.json``, the table and the sidecar (see
+:class:`~repro.storage.serialize.JsonRenderer`; the bytes are those a
+full render writes). These caches live on the pipeline, which must be
+the only writer of its state; a rebuilt pipeline starts cold.
+
 Warm starts (``warm_start=True``) seed a dirty combination's EM from
 its cached parameters. After a small append the cached point is near
 the new optimum, so EM converges in a handful of iterations — the
@@ -34,6 +42,7 @@ default is off: exact bit-parity unless the operator trades it away.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -47,7 +56,7 @@ from ..core.surveyor import (
     SurveyorResult,
     _majority_opinion,
 )
-from ..core.types import PropertyTypeKey
+from ..core.types import Opinion, PropertyTypeKey
 from ..corpus.document import Document
 from ..extraction.extractor import EvidenceExtractor
 from ..extraction.provenance import (
@@ -66,6 +75,7 @@ from ..obs.manifest import (
     write_manifest,
 )
 from ..storage import provenance_path_for, save
+from ..storage.serialize import JsonRenderer
 from .journal import CorpusJournal
 from .state import IngestState, load_state, save_state
 
@@ -88,6 +98,18 @@ class IngestReport:
     @property
     def table(self) -> OpinionTable:
         return self.result.opinions
+
+
+@dataclass(frozen=True, slots=True)
+class _Outcome:
+    """One combination's share of the table, kept between advances:
+    its fit (``None`` below the threshold) and emitted opinions."""
+
+    fit: FittedCombination | None
+    opinions: tuple[Opinion, ...] = ()
+
+
+_SKIPPED = _Outcome(None)
 
 
 @dataclass
@@ -137,6 +159,7 @@ class IngestPipeline:
         self.state = load_state(self.journal.directory)
         if self.provenance and self.state.ledger is None:
             self.state.ledger = ProvenanceLedger()
+            self.state.ledger.seed_totals(self.state.evidence)
         # One annotator for the pipeline's lifetime: the prefilter
         # automaton compiles once and the sentence memo stays warm
         # across advances, so a small append pays delta-sized cost.
@@ -145,6 +168,17 @@ class IngestPipeline:
             fast_path=self.fast_path,
             memo_size=self.annotation_memo_size,
         )
+        # Per-combination caches (see the module docstring). A mark
+        # is replaced whenever its combination's evidence or lineage
+        # changes; state.json renders reuse text while it stays.
+        self._outcomes: dict[PropertyTypeKey, _Outcome] = {}
+        self._marks: defaultdict[PropertyTypeKey, object] = (
+            defaultdict(object)
+        )
+        self._index: ProvenanceIndex | None = None
+        self._state_renderer = JsonRenderer()
+        self._table_renderer = JsonRenderer()
+        self._sidecar_renderer = JsonRenderer()
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -181,26 +215,42 @@ class IngestPipeline:
             self.state.stats.merge(extractor.stats)
             if self.state.ledger is not None and delta_ledger is not None:
                 self.state.ledger.merge(delta_ledger)
+        # The delta ledger samples only statements the delta counted,
+        # so the dirty combinations are the only ones whose evidence
+        # or lineage changed.
+        dirty = tuple(sorted(delta.keys(), key=str))
+        changed = frozenset(dirty)
         if self.state.ledger is not None:
             # Exact totals always come from the counter; the ledger's
             # own tallies are sampling-path approximations.
-            self.state.ledger.seed_totals(self.state.evidence)
+            self.state.ledger.seed_totals(self.state.evidence, dirty)
+        for key in dirty:
+            self._marks.pop(key, None)
 
-        dirty = tuple(sorted(delta.keys(), key=str))
         started = time.perf_counter()
-        result, refitted, reused = self._refit(frozenset(dirty))
+        result, refitted, reused = self._refit(changed)
         refit_seconds = time.perf_counter() - started
 
         if records:
             self.state.applied_offset = records[-1].offset
             self.state.generation += 1
-        save_state(self.state, self.journal.directory)
+        save_state(
+            self.state,
+            self.journal.directory,
+            renderer=self._state_renderer,
+            marks=self._marks,
+        )
 
         index = None
         if self.state.ledger is not None:
             index = ProvenanceIndex.from_run(
-                self.state.ledger, result, records_from_result(result)
+                self.state.ledger,
+                result,
+                records_from_result(result),
+                previous=self._index,
+                dirty=changed,
             )
+            self._index = index
         report = IngestReport(
             documents=len(records),
             statements=delta.n_statements,
@@ -220,7 +270,7 @@ class IngestPipeline:
     # Dirty-set refitter
     # ------------------------------------------------------------------
     def _refit(
-        self, dirty: frozenset[PropertyTypeKey]
+        self, changed: frozenset[PropertyTypeKey]
     ) -> tuple[SurveyorResult, int, int]:
         """Rebuild the full opinion table, running EM only where the
         evidence changed.
@@ -228,60 +278,81 @@ class IngestPipeline:
         Mirrors ``Surveyor.run`` exactly — same key order, same
         threshold skip, same degraded fallback, same opinion emission
         — so a table assembled from cached + refitted combinations is
-        byte-identical to a one-shot batch over the same evidence.
+        byte-identical to a one-shot batch over the same evidence. A
+        combination outside ``changed`` reuses its previous outcome
+        whole. Returns the result and the numbers of fits refitted
+        and reused.
         """
         surveyor = Surveyor(
             catalog=self.kb,
             occurrence_threshold=self.occurrence_threshold,
             learner=self.learner,
         )
-        evidence = self.state.evidence.as_evidence()
+        evidence = self.state.evidence
         table = OpinionTable()
         fits: dict[PropertyTypeKey, FittedCombination] = {}
         skipped: list[PropertyTypeKey] = []
         degraded: list[PropertyTypeKey] = []
+        outcomes: dict[PropertyTypeKey, _Outcome] = {}
         refitted = 0
-        reused = 0
-        for key in sorted(evidence, key=str):
-            per_entity = evidence[key]
-            n_statements = sum(c.total for c in per_entity.values())
-            if n_statements < self.occurrence_threshold:
+        for key in sorted(evidence.keys(), key=str):
+            outcome = None if key in changed else self._outcomes.get(key)
+            if outcome is None:
+                outcome = self._evaluate(
+                    surveyor, key, evidence.counts_for(key), key in changed
+                )
+            outcomes[key] = outcome
+            fit = outcome.fit
+            if fit is None:
                 skipped.append(key)
                 self.state.fits.pop(key, None)
                 continue
-            cached = self.state.fits.get(key)
-            if cached is None or key in dirty:
-                fit = self._fit_one(surveyor, key, per_entity, cached)
+            if fit is not self.state.fits.get(key):
                 refitted += 1
-            else:
-                fit = cached
-                reused += 1
             fits[key] = fit
             self.state.fits[key] = fit
             if fit.trace.degraded:
                 degraded.append(key)
                 table.mark_degraded(key)
-                for entity_id, counts in surveyor._full_evidence(
-                    key, per_entity
-                ):
-                    opinion = _majority_opinion(entity_id, key, counts)
-                    if opinion.decided or surveyor.emit_undecided:
-                        table.add(opinion)
-                continue
-            model = fit.model()
-            for entity_id, counts in surveyor._full_evidence(
-                key, per_entity
-            ):
-                opinion = model.opinion(entity_id, key, counts)
-                if opinion.decided or surveyor.emit_undecided:
-                    table.add(opinion)
+            for opinion in outcome.opinions:
+                table.add(opinion)
+        self._outcomes = outcomes
         result = SurveyorResult(
             opinions=table,
             fits=fits,
             skipped=tuple(skipped),
             degraded=tuple(degraded),
         )
-        return result, refitted, reused
+        return result, refitted, len(fits) - refitted
+
+    def _evaluate(
+        self,
+        surveyor: Surveyor,
+        key: PropertyTypeKey,
+        per_entity: dict,
+        dirty: bool,
+    ) -> _Outcome:
+        n_statements = sum(c.total for c in per_entity.values())
+        if n_statements < self.occurrence_threshold:
+            return _SKIPPED
+        fit = self.state.fits.get(key)
+        if fit is None or dirty:
+            fit = self._fit_one(surveyor, key, per_entity, fit)
+        opine = (
+            _majority_opinion if fit.trace.degraded else fit.model().opinion
+        )
+        opinions = (
+            opine(entity_id, key, counts)
+            for entity_id, counts in surveyor._full_evidence(key, per_entity)
+        )
+        return _Outcome(
+            fit,
+            tuple(
+                opinion
+                for opinion in opinions
+                if opinion.decided or surveyor.emit_undecided
+            ),
+        )
 
     def _fit_one(
         self,
@@ -318,11 +389,11 @@ class IngestPipeline:
         """Write the table, its provenance sidecar, and a run manifest
         (all atomically) so a server can hot-reload them."""
         out = Path(out)
-        save(report.table, out)
+        save(report.table, out, self._table_renderer)
         outputs = {"opinions": str(out)}
         if report.provenance is not None:
             sidecar = provenance_path_for(out)
-            save(report.provenance, sidecar)
+            save(report.provenance, sidecar, self._sidecar_renderer)
             outputs["provenance"] = str(sidecar)
         manifest = build_manifest(
             command="ingest",

@@ -118,9 +118,8 @@ def _scan_segment(
     data: bytes,
     context: str,
     allow_torn_tail: bool,
-    start: int = 0,
 ) -> tuple[list[tuple[int, JournalRecord]], int]:
-    """Parse one segment's bytes from ``start``.
+    """Parse a segment's bytes (or its tail from a record boundary).
 
     Returns ``(entries, clean_length)`` where each entry is
     ``(record_start_byte, record)`` and ``clean_length`` is the byte
@@ -129,7 +128,7 @@ def _scan_segment(
     otherwise it raises.
     """
     records: list[tuple[int, JournalRecord]] = []
-    position = start
+    position = 0
     size = len(data)
     while position < size:
         newline = data.find(b"\n", position)
@@ -399,20 +398,21 @@ class CorpusJournal:
     def replay(self, after: int = -1) -> Iterator[JournalRecord]:
         """Committed records with offsets strictly above ``after``.
 
-        Seeks through the in-memory index: only records above the
-        watermark are read and decoded, so resuming near the tail of
-        a large journal costs the delta, not the history.
+        Seeks through the in-memory index: only the bytes from the
+        first record above the watermark on are read and decoded, so
+        resuming near the tail of a large journal costs the delta,
+        not the history.
         """
         start = bisect.bisect_right(self._idx_offsets, after)
         total = len(self._idx_offsets)
         while start < total:
             ordinal = self._idx_segment[start]
             segment = self._segment_list[ordinal]
+            with segment.open("rb") as handle:
+                handle.seek(self._idx_position[start])
+                data = handle.read()
             entries, _ = _scan_segment(
-                segment.read_bytes(),
-                str(segment),
-                allow_torn_tail=True,
-                start=self._idx_position[start],
+                data, str(segment), allow_torn_tail=True
             )
             for _, record in entries:
                 yield record

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 from ..core.em import EMTrace
 from ..core.params import ModelParameters
@@ -42,13 +43,17 @@ from ..extraction.provenance import ProvenanceLedger
 from ..extraction.statement import EvidenceCounter
 from ..storage.serialize import (
     FormatError,
+    Fragments,
+    JsonRenderer,
     _atomic_write_text,
     _key_from_str,
     _key_to_str,
     evidence_from_dict,
-    evidence_to_dict,
+    evidence_payload,
     ledger_from_dict,
-    ledger_to_dict,
+    ledger_payload,
+    plain,
+    render_json,
 )
 
 STATE_BASENAME = "state.json"
@@ -113,6 +118,17 @@ class IngestState:
         return self.applied_offset < 0 and self.generation == 0
 
     def to_dict(self) -> dict[str, Any]:
+        return plain(self.payload())
+
+    def payload(
+        self, marks: Mapping[PropertyTypeKey, object] | None = None
+    ) -> dict[str, Any]:
+        """:meth:`to_dict` with one fragment per combination (see
+        :class:`~repro.storage.serialize.JsonRenderer`). Evidence and
+        lineage change in place, so they are tokened by ``marks``,
+        as in :func:`~repro.storage.serialize.evidence_payload`; a
+        cached fit is replaced, never mutated, so it is its own
+        token."""
         return {
             "format": STATE_FORMAT,
             "version": STATE_VERSION,
@@ -125,18 +141,16 @@ class IngestState:
                 "positive": self.stats.positive,
                 "negative": self.stats.negative,
             },
-            "evidence": evidence_to_dict(self.evidence),
+            "evidence": evidence_payload(self.evidence, marks),
             "ledger": (
                 None
                 if self.ledger is None
-                else ledger_to_dict(self.ledger)
+                else ledger_payload(self.ledger, marks)
             ),
-            "fits": {
-                _key_to_str(key): _fit_to_dict(fit)
-                for key, fit in sorted(
-                    self.fits.items(), key=lambda item: str(item[0])
-                )
-            },
+            "fits": Fragments({
+                _key_to_str(key): (fit, partial(_fit_to_dict, fit))
+                for key, fit in self.fits.items()
+            }),
         }
 
     @classmethod
@@ -187,10 +201,22 @@ def state_path_for(journal_dir: str | Path) -> Path:
     return Path(journal_dir) / STATE_BASENAME
 
 
-def save_state(state: IngestState, journal_dir: str | Path) -> Path:
+def save_state(
+    state: IngestState,
+    journal_dir: str | Path,
+    *,
+    renderer: JsonRenderer | None = None,
+    marks: Mapping[PropertyTypeKey, object] | None = None,
+) -> Path:
+    """Atomically write ``state.json``.
+
+    Given the ``renderer`` that wrote this state before and ``marks``
+    for :meth:`IngestState.payload`, only the combinations whose mark
+    or fit changed are re-encoded; the bytes are the same either way.
+    """
     path = state_path_for(journal_dir)
     _atomic_write_text(
-        path, json.dumps(state.to_dict(), indent=1, sort_keys=True)
+        path, render_json(state.payload(marks), renderer)
     )
     return path
 

@@ -10,6 +10,7 @@ summary.
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 import sys
@@ -17,13 +18,19 @@ import time
 from pathlib import Path
 from typing import Any
 
+from ..storage.serialize import _atomic_write_text
+
 MANIFEST_FORMAT = "run_manifest"
 MANIFEST_VERSION = 1
 
 
+@functools.cache
 def git_describe() -> str | None:
     """``git describe --always --dirty`` of the source tree, or None
-    outside a checkout / without git."""
+    outside a checkout / without git.
+
+    Asked once per process: the code that is running cannot change
+    under it, and every ingest publish would otherwise fork git."""
     try:
         result = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -90,10 +97,11 @@ def manifest_path_for(artefact: str | Path) -> Path:
 def write_manifest(
     path: str | Path, payload: dict[str, Any]
 ) -> Path:
+    """Write a manifest atomically: readers see the previous one or
+    this one, never a torn file."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    _atomic_write_text(
+        path, json.dumps(payload, indent=1, sort_keys=True) + "\n"
     )
     return path
 

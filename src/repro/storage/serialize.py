@@ -10,9 +10,11 @@ the payload) so files stay diffable and language-agnostic.
 from __future__ import annotations
 
 import json
+import operator
 import os
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Mapping
 
 from ..core.errors import CheckpointError
 from ..core.params import ModelParameters
@@ -68,6 +70,168 @@ def _key_from_str(text: str) -> PropertyTypeKey:
 
 
 # ---------------------------------------------------------------------------
+# Rendering
+# ---------------------------------------------------------------------------
+#
+# Every artefact is ``json.dumps(payload, indent=1, sort_keys=True)``.
+# With ``indent`` json runs its pure-Python encoder, so re-encoding a
+# whole file to change one combination costs the whole file. A payload
+# may instead hold :class:`Fragments` — a JSON object or array whose
+# members render one by one — and a :class:`JsonRenderer` keeps each
+# member's text between renders, re-rendering only members that
+# changed. A subtree's text at depth ``d`` is its standalone dump with
+# ``d`` spaces after every newline: JSON strings escape newlines, so
+# every raw newline in a dump is layout.
+
+
+class Fragments:
+    """A JSON object (or, with ``array=True``, array) rendered member
+    by member.
+
+    ``members`` maps a member name to ``(token, build)``. ``build()``
+    returns the member's value — for an array, the run of elements it
+    contributes; runs are laid out in sorted-name order. A renderer
+    reuses a member's text while its token is the very object (or a
+    tuple of the very objects) it rendered last time, so a token must
+    be replaced, never mutated, when the member's content changes.
+    A ``None`` token is never reused.
+    """
+
+    __slots__ = ("members", "array")
+
+    def __init__(
+        self,
+        members: Mapping[str, tuple[Any, Callable[[], Any]]],
+        *,
+        array: bool = False,
+    ) -> None:
+        self.members = members
+        self.array = array
+
+    def plain(self) -> Any:
+        """The node as plain JSON values (every member built)."""
+        if self.array:
+            return [
+                value
+                for name in sorted(self.members)
+                for value in self.members[name][1]()
+            ]
+        return {name: build() for name, (_, build) in self.members.items()}
+
+
+def _same(cached: Any, token: Any) -> bool:
+    if token is None:
+        return False
+    if cached is token:
+        return True
+    return (
+        type(cached) is tuple
+        and type(token) is tuple
+        and len(cached) == len(token)
+        and all(map(operator.is_, cached, token))
+    )
+
+
+def _holds_fragments(value: Any) -> bool:
+    if isinstance(value, Fragments):
+        return True
+    return isinstance(value, dict) and any(
+        map(_holds_fragments, value.values())
+    )
+
+
+def _dumps(value: Any, depth: int) -> str:
+    """``value`` as it reads at ``depth`` inside an indent=1 dump."""
+    text = json.dumps(value, indent=1, sort_keys=True)
+    return text.replace("\n", "\n" + " " * depth) if depth else text
+
+
+def plain(payload: Any) -> Any:
+    """A payload with every :class:`Fragments` node built."""
+    if isinstance(payload, Fragments):
+        return payload.plain()
+    if isinstance(payload, dict):
+        return {key: plain(value) for key, value in payload.items()}
+    return payload
+
+
+class JsonRenderer:
+    """Renders payloads byte-identically to
+    ``json.dumps(plain(payload), indent=1, sort_keys=True)``, keeping
+    each :class:`Fragments` member's text for the next render.
+
+    One renderer serves one file: cached text is keyed by the
+    fragment's position in the payload, and a render drops members
+    the payload no longer has. An empty renderer renders everything.
+    """
+
+    def __init__(self) -> None:
+        self._texts: dict[tuple[str, ...], dict[str, tuple[Any, str]]] = {}
+
+    def render(self, payload: Any) -> str:
+        return self._render(payload, 0, ())
+
+    def _render(
+        self, value: Any, depth: int, path: tuple[str, ...]
+    ) -> str:
+        if isinstance(value, Fragments):
+            return self._render_fragments(value, depth, path)
+        if not _holds_fragments(value):
+            return _dumps(value, depth)
+        pad = " " * (depth + 1)
+        body = ",\n".join(
+            f"{pad}{json.dumps(key)}: "
+            + self._render(value[key], depth + 1, path + (key,))
+            for key in sorted(value)
+        )
+        return "{\n" + body + "\n" + " " * depth + "}"
+
+    def _render_fragments(
+        self, node: Fragments, depth: int, path: tuple[str, ...]
+    ) -> str:
+        cached = self._texts.get(path, {})
+        texts: dict[str, tuple[Any, str]] = {}
+        parts = []
+        for name in sorted(node.members):
+            token, build = node.members[name]
+            entry = cached.get(name)
+            if entry is None or not _same(entry[0], token):
+                entry = (token, self._member_text(node, name, build, depth))
+            texts[name] = entry
+            if entry[1]:
+                parts.append(entry[1])
+        self._texts[path] = texts
+        if not parts:
+            return "[]" if node.array else "{}"
+        opening, closing = "[]" if node.array else "{}"
+        return (
+            opening + "\n" + ",\n".join(parts) + "\n"
+            + " " * depth + closing
+        )
+
+    @staticmethod
+    def _member_text(
+        node: Fragments, name: str, build: Callable[[], Any], depth: int
+    ) -> str:
+        pad = " " * (depth + 1)
+        if not node.array:
+            return f"{pad}{json.dumps(name)}: " + _dumps(build(), depth + 1)
+        run = build()
+        if not run:
+            return ""
+        # The run dumped as a list, brackets dropped: its elements sit
+        # at depth 1, so shift them by ``depth``.
+        inner = json.dumps(run, indent=1, sort_keys=True)[2:-2]
+        return " " * depth + inner.replace("\n", "\n" + " " * depth)
+
+
+def render_json(payload: Any, renderer: JsonRenderer | None = None) -> str:
+    """The text of an artefact: with a warm ``renderer``, only the
+    fragments that changed since its last render are re-encoded."""
+    return (renderer or JsonRenderer()).render(payload)
+
+
+# ---------------------------------------------------------------------------
 # Knowledge base
 # ---------------------------------------------------------------------------
 
@@ -111,20 +275,46 @@ def kb_from_dict(payload: dict[str, Any]) -> KnowledgeBase:
 # Evidence counts
 # ---------------------------------------------------------------------------
 
-def evidence_to_dict(counter: EvidenceCounter) -> dict[str, Any]:
-    combinations = {}
-    for key in counter.keys():
-        combinations[_key_to_str(key)] = {
-            entity_id: [counts.positive, counts.negative]
-            for entity_id, counts in sorted(
-                counter.counts_for(key).items()
-            )
-        }
+def _mark(
+    marks: Mapping[PropertyTypeKey, object] | None, key: PropertyTypeKey
+) -> object | None:
+    return None if marks is None else marks[key]
+
+
+def _counts_row(
+    counter: EvidenceCounter, key: PropertyTypeKey
+) -> dict[str, list[int]]:
+    return {
+        entity_id: [counts.positive, counts.negative]
+        for entity_id, counts in sorted(counter.counts_for(key).items())
+    }
+
+
+def evidence_payload(
+    counter: EvidenceCounter,
+    marks: Mapping[PropertyTypeKey, object] | None = None,
+) -> dict[str, Any]:
+    """:func:`evidence_to_dict` with one fragment per combination.
+
+    The counter mutates in place, so its combinations carry no token
+    of their own: ``marks[key]`` is an object the caller replaces
+    whenever that combination's counts change. Without marks nothing
+    is reused.
+    """
     return {
         "format": "evidence",
         "version": FORMAT_VERSION,
-        "combinations": combinations,
+        "combinations": Fragments({
+            _key_to_str(key): (
+                _mark(marks, key), partial(_counts_row, counter, key)
+            )
+            for key in counter.keys()
+        }),
     }
+
+
+def evidence_to_dict(counter: EvidenceCounter) -> dict[str, Any]:
+    return plain(evidence_payload(counter))
 
 
 def evidence_from_dict(payload: dict[str, Any]) -> EvidenceCounter:
@@ -157,6 +347,14 @@ def evidence_from_dict(payload: dict[str, Any]) -> EvidenceCounter:
 # Model parameters
 # ---------------------------------------------------------------------------
 
+def _model_row(value: ModelParameters) -> dict[str, float]:
+    return {
+        "agreement": value.agreement,
+        "rate_positive": value.rate_positive,
+        "rate_negative": value.rate_negative,
+    }
+
+
 def parameters_to_dict(
     parameters: dict[PropertyTypeKey, ModelParameters],
 ) -> dict[str, Any]:
@@ -164,11 +362,7 @@ def parameters_to_dict(
         "format": "parameters",
         "version": FORMAT_VERSION,
         "combinations": {
-            _key_to_str(key): {
-                "agreement": value.agreement,
-                "rate_positive": value.rate_positive,
-                "rate_negative": value.rate_negative,
-            }
+            _key_to_str(key): _model_row(value)
             for key, value in parameters.items()
         },
     }
@@ -217,31 +411,40 @@ def _pair_from_dict(row: dict[str, Any]) -> PairProvenance:
     )
 
 
-def provenance_to_dict(index: ProvenanceIndex) -> dict[str, Any]:
-    pairs = {}
-    for key in index.keys():
-        pairs[_key_to_str(key)] = {
-            entity_id: _pair_to_dict(index.for_pair(key, entity_id))
-            for entity_id in index.entities_for(key)
-        }
+def _pairs_row(
+    per_entity: Mapping[str, PairProvenance],
+) -> dict[str, Any]:
+    return {
+        entity_id: _pair_to_dict(per_entity[entity_id])
+        for entity_id in sorted(per_entity)
+    }
+
+
+def provenance_payload(index: ProvenanceIndex) -> dict[str, Any]:
+    """:func:`provenance_to_dict` with one fragment per combination,
+    tokened by the index's own per-combination objects (which
+    :meth:`ProvenanceIndex.from_run` shares while they are clean)."""
     return {
         "format": "provenance",
         "version": FORMAT_VERSION,
         "samples_per_polarity": index.samples_per_polarity,
-        "pairs": pairs,
-        "models": {
-            _key_to_str(key): {
-                "agreement": value.agreement,
-                "rate_positive": value.rate_positive,
-                "rate_negative": value.rate_negative,
-            }
+        "pairs": Fragments({
+            _key_to_str(key): (per_entity, partial(_pairs_row, per_entity))
+            for key, per_entity in index.pairs_by_key.items()
+        }),
+        "models": Fragments({
+            _key_to_str(key): (value, partial(_model_row, value))
             for key, value in index.models().items()
-        },
-        "convergence": {
-            _key_to_str(key): summary
-            for key, summary in index.convergence().items()
-        },
+        }),
+        "convergence": Fragments({
+            _key_to_str(key): (summary, partial(dict, summary))
+            for key, summary in index.convergence_by_key.items()
+        }),
     }
+
+
+def provenance_to_dict(index: ProvenanceIndex) -> dict[str, Any]:
+    return plain(provenance_payload(index))
 
 
 def provenance_from_dict(payload: dict[str, Any]) -> ProvenanceIndex:
@@ -284,6 +487,32 @@ def provenance_path_for(artefact: str | Path) -> Path:
     return artefact.with_name(artefact.name + ".provenance.json")
 
 
+def _ledger_row(
+    ledger: ProvenanceLedger, key: PropertyTypeKey
+) -> dict[str, Any]:
+    return {
+        entity_id: _pair_to_dict(pair)
+        for entity_id, pair in ledger.pairs_for(key).items()
+    }
+
+
+def ledger_payload(
+    ledger: ProvenanceLedger,
+    marks: Mapping[PropertyTypeKey, object] | None = None,
+) -> dict[str, Any]:
+    """:func:`ledger_to_dict` with one fragment per combination;
+    ``marks`` works as for :func:`evidence_payload`."""
+    return {
+        "samples_per_polarity": ledger.samples_per_polarity,
+        "pairs": Fragments({
+            _key_to_str(key): (
+                _mark(marks, key), partial(_ledger_row, ledger, key)
+            )
+            for key in ledger.keys()
+        }),
+    }
+
+
 def ledger_to_dict(ledger: ProvenanceLedger) -> dict[str, Any]:
     """A provenance ledger as checkpoint-embeddable primitives.
 
@@ -291,15 +520,7 @@ def ledger_to_dict(ledger: ProvenanceLedger) -> dict[str, Any]:
     running state; the payload is not a standalone artefact (no
     format/version envelope) — embed it inside one.
     """
-    pairs: dict[str, dict[str, Any]] = {}
-    for key, entity_id, pair in ledger.pairs():
-        pairs.setdefault(_key_to_str(key), {})[entity_id] = (
-            _pair_to_dict(pair)
-        )
-    return {
-        "samples_per_polarity": ledger.samples_per_polarity,
-        "pairs": pairs,
-    }
+    return plain(ledger_payload(ledger))
 
 
 def ledger_from_dict(payload: dict[str, Any]) -> ProvenanceLedger:
@@ -419,29 +640,49 @@ def load_shard_checkpoint(
 # Opinion table
 # ---------------------------------------------------------------------------
 
-def opinions_to_dict(table: OpinionTable) -> dict[str, Any]:
-    rows = []
-    for opinion in table:
-        rows.append(
-            {
-                "entity": opinion.entity_id,
-                "key": _key_to_str(opinion.key),
-                "probability": opinion.probability,
-                "positive": opinion.evidence.positive,
-                "negative": opinion.evidence.negative,
-            }
-        )
-    rows.sort(key=lambda row: (row["key"], row["entity"]))
+def _opinion_rows(opinions: list[Opinion]) -> list[dict[str, Any]]:
+    rows = [
+        {
+            "entity": opinion.entity_id,
+            "key": _key_to_str(opinion.key),
+            "probability": opinion.probability,
+            "positive": opinion.evidence.positive,
+            "negative": opinion.evidence.negative,
+        }
+        for opinion in opinions
+    ]
+    rows.sort(key=lambda row: row["entity"])
+    return rows
+
+
+def opinions_payload(table: OpinionTable) -> dict[str, Any]:
+    """:func:`opinions_to_dict` with the rows as one run per
+    combination, tokened by the combination's opinion objects."""
+    runs: dict[str, list[Opinion]] = {}
+    for key in table.keys():
+        runs.setdefault(_key_to_str(key), []).extend(table.for_key(key))
     return {
         "format": "opinions",
         "version": FORMAT_VERSION,
-        "opinions": rows,
+        # Rows sorted by (key, entity): runs in key order, each
+        # sorted by entity.
+        "opinions": Fragments(
+            {
+                name: (tuple(opinions), partial(_opinion_rows, opinions))
+                for name, opinions in runs.items()
+            },
+            array=True,
+        ),
         # Combinations whose EM fit fell back to majority vote; query
         # surfaces flag their answers as degraded.
         "degraded": sorted(
             _key_to_str(key) for key in table.degraded_keys
         ),
     }
+
+
+def opinions_to_dict(table: OpinionTable) -> dict[str, Any]:
+    return plain(opinions_payload(table))
 
 
 def opinions_from_dict(payload: dict[str, Any]) -> OpinionTable:
@@ -470,9 +711,9 @@ def opinions_from_dict(payload: dict[str, Any]) -> OpinionTable:
 
 _SAVERS = {
     KnowledgeBase: kb_to_dict,
-    EvidenceCounter: evidence_to_dict,
-    OpinionTable: opinions_to_dict,
-    ProvenanceIndex: provenance_to_dict,
+    EvidenceCounter: evidence_payload,
+    OpinionTable: opinions_payload,
+    ProvenanceIndex: provenance_payload,
 }
 
 _LOADERS = {
@@ -494,9 +735,14 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def save(obj: Any, path: str | Path) -> Path:
-    """Serialize a KB, evidence counter, opinion table, or a
-    ``{key: ModelParameters}`` mapping to a JSON file."""
+def save(
+    obj: Any, path: str | Path, renderer: JsonRenderer | None = None
+) -> Path:
+    """Serialize a KB, evidence counter, opinion table, provenance
+    index, or a ``{key: ModelParameters}`` mapping to a JSON file.
+
+    A ``renderer`` that wrote an earlier version of the same artefact
+    re-encodes only the combinations whose objects changed."""
     path = Path(path)
     if isinstance(obj, dict):
         payload = parameters_to_dict(obj)
@@ -507,9 +753,7 @@ def save(obj: Any, path: str | Path) -> Path:
                 break
         else:
             raise TypeError(f"cannot serialize {type(obj).__name__}")
-    _atomic_write_text(
-        path, json.dumps(payload, indent=1, sort_keys=True)
-    )
+    _atomic_write_text(path, render_json(payload, renderer))
     return path
 
 

@@ -15,6 +15,7 @@ import signal
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.ingest import (
     load_state,
     state_path_for,
 )
+from repro.ingest.journal import _encode_record
 from repro.obs import MetricsRegistry
 from repro.obs.live import Sample, render_frame, render_ingest_panel
 from repro.obs.manifest import manifest_path_for, read_manifest
@@ -97,6 +99,51 @@ class TestJournal:
         journal.append(docs("a", "b", "c", "d"))
         assert [r.offset for r in journal.replay(after=1)] == [2, 3]
         assert list(journal.replay(after=3)) == []
+
+    def test_replay_above_watermark_reads_only_the_tail(
+        self, tmp_path, monkeypatch
+    ):
+        journal = CorpusJournal(tmp_path / "j")
+        journal.append(docs(*(f"document {i}" for i in range(50))))
+        size = journal._segments()[-1].stat().st_size
+        tail = sum(
+            len(_encode_record(record.offset, record.document))
+            for record in journal.replay(after=40)
+        )
+        read: list[int] = []
+        real_open = Path.open
+
+        class CountingReader:
+            def __init__(self, handle):
+                self._handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._handle.close()
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def read(self, *args):
+                data = self._handle.read(*args)
+                read.append(len(data))
+                return data
+
+        monkeypatch.setattr(
+            Path,
+            "open",
+            lambda self, *a, **kw: CountingReader(real_open(self, *a, **kw)),
+        )
+        replayed = [r.offset for r in journal.replay(after=40)]
+        monkeypatch.undo()
+        assert replayed == list(range(41, 50))
+        assert sum(read) == tail < size
+        # A torn tail written after open is still skipped, not decoded.
+        with journal._segments()[-1].open("ab") as handle:
+            handle.write(b'87\n{"doc_id": "torn", "off')
+        assert [r.offset for r in journal.replay(after=40)] == replayed
 
     def test_blank_doc_ids_get_offset_ids(self, tmp_path):
         journal = CorpusJournal(tmp_path / "j")

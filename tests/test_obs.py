@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from repro.obs import (
     validate_trace,
     write_manifest,
 )
+from repro.obs import manifest as manifest_module
 from repro.obs.convergence import record_from_fit
 from repro.obs.metrics import COUNT_BUCKETS
 
@@ -378,6 +380,55 @@ class TestManifest:
         path.write_text("[1, 2, 3]")
         with pytest.raises(ValueError):
             read_manifest(path)
+
+    def test_failed_write_leaves_previous_manifest_intact(
+        self, tmp_path, monkeypatch
+    ):
+        def manifest(command):
+            return build_manifest(
+                command=command,
+                config={},
+                started_unix=0.0,
+                duration_seconds=0.0,
+            )
+
+        path = write_manifest(tmp_path / "m.json", manifest("mine"))
+        before = path.read_bytes()
+        real_write_text = Path.write_text
+
+        def torn_write(self, text, *args, **kwargs):
+            # The disk fills halfway through the write.
+            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(OSError):
+            write_manifest(path, manifest("ingest"))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert read_manifest(path)["command"] == "mine"
+
+    def test_git_describe_runs_once_per_process(self, monkeypatch):
+        calls = []
+
+        def fake_run(args, **kwargs):
+            calls.append(args)
+            return subprocess.CompletedProcess(args, 0, "v1-2-gabc\n", "")
+
+        manifest_module.git_describe.cache_clear()
+        monkeypatch.setattr(manifest_module.subprocess, "run", fake_run)
+        try:
+            for _ in range(3):
+                built = build_manifest(
+                    command="ingest",
+                    config={},
+                    started_unix=0.0,
+                    duration_seconds=0.0,
+                )
+                assert built["git_describe"] == "v1-2-gabc"
+        finally:
+            manifest_module.git_describe.cache_clear()
+        assert len(calls) == 1
 
 
 class TestRendering:

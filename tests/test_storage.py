@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     EvidenceCounts,
@@ -18,6 +20,7 @@ from repro.extraction import EvidenceCounter, EvidenceStatement
 from repro.core.types import Polarity
 from repro.kb import Entity, KnowledgeBase
 from repro.storage import FormatError, load, save
+from repro.storage.serialize import Fragments, JsonRenderer, plain
 
 CUTE = PropertyTypeKey(SubjectiveProperty("cute"), "animal")
 VERY_BIG = PropertyTypeKey(
@@ -194,3 +197,143 @@ class TestErrors:
         )
         with pytest.raises(FormatError):
             load(path)
+
+
+# ---------------------------------------------------------------------------
+# Fragment rendering
+# ---------------------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    # Raw newlines and quotes inside strings must not disturb the
+    # re-indentation of a fragment.
+    | st.text(alphabet=st.sampled_from('ab"\\\n\t é'), max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=12,
+)
+
+
+def cold(payload) -> str:
+    return json.dumps(plain(payload), indent=1, sort_keys=True)
+
+
+class Counted:
+    """A fragment member whose builds are counted."""
+
+    def __init__(self, value):
+        self.value = value
+        self.builds = 0
+
+    def __call__(self):
+        self.builds += 1
+        return self.value
+
+
+def layered(objects, runs, token=lambda name: name):
+    """A payload with fragments below the top level and at depth 2."""
+    return {
+        "format": "test",
+        "outer": {
+            "objects": Fragments({
+                name: (token(name), build)
+                for name, build in objects.items()
+            }),
+            "version": 1,
+        },
+        "runs": Fragments(
+            {name: (token(name), build) for name, build in runs.items()},
+            array=True,
+        ),
+    }
+
+
+class TestJsonRenderer:
+    @seed(1)
+    @settings(max_examples=150, database=None)
+    @given(
+        objects=st.dictionaries(st.text(max_size=4), json_values, max_size=4),
+        runs=st.dictionaries(
+            st.text(max_size=4), st.lists(json_values, max_size=3), max_size=4
+        ),
+    )
+    def test_cold_and_warm_renders_equal_json_dumps(self, objects, runs):
+        payload = layered(
+            {k: (lambda v=v: v) for k, v in objects.items()},
+            {k: (lambda v=v: v) for k, v in runs.items()},
+        )
+        renderer = JsonRenderer()
+        assert renderer.render(payload) == cold(payload)
+        assert renderer.render(payload) == cold(payload)
+
+    def test_plain_payload_is_json_dumps(self, small_kb):
+        from repro.storage import kb_to_dict
+
+        payload = kb_to_dict(small_kb)
+        assert JsonRenderer().render(payload) == json.dumps(
+            payload, indent=1, sort_keys=True
+        )
+
+    def test_only_members_with_a_new_token_rebuild(self):
+        tokens = {"a": object(), "b": object(), "r": object()}
+        a, b, run = Counted({"x": [1, 2]}), Counted([3]), Counted([{"y": 1}])
+
+        def payload():
+            return layered({"a": a, "b": b}, {"r": run}, token=tokens.get)
+
+        renderer = JsonRenderer()
+        renderer.render(payload())
+        tokens["b"] = object()
+        b.value = [4, 5]
+        text = renderer.render(payload())
+        assert (a.builds, b.builds, run.builds) == (1, 2, 1)
+        assert text == cold(payload())
+
+    def test_none_tokens_always_rebuild(self):
+        member = Counted([1])
+        renderer = JsonRenderer()
+        payload = {"f": Fragments({"m": (None, member)})}
+        renderer.render(payload)
+        member.value = [2]
+        text = renderer.render(payload)
+        assert member.builds == 2
+        assert text == cold(payload)
+
+    def test_tuple_tokens_compare_by_identity(self):
+        one, two = [1.0], [1.0]
+        member = Counted([0])
+        renderer = JsonRenderer()
+        renderer.render({"f": Fragments({"m": ((one,), member)})})
+        renderer.render({"f": Fragments({"m": ((one,), member)})})
+        assert member.builds == 1
+        # Equal but not the same objects: re-rendered.
+        renderer.render({"f": Fragments({"m": ((two,), member)})})
+        assert member.builds == 2
+
+    def test_dropped_members_leave_the_cache(self):
+        token = object()
+        renderer = JsonRenderer()
+        both = {
+            "f": Fragments({"a": (token, lambda: 1), "b": (token, lambda: 2)})
+        }
+        renderer.render(both)
+        only_a = {"f": Fragments({"a": (token, lambda: 1)})}
+        assert renderer.render(only_a) == cold(only_a)
+        empty = {"f": Fragments({}), "g": Fragments({}, array=True)}
+        assert renderer.render(empty) == cold(empty)
+
+    def test_save_with_a_warm_renderer_writes_cold_bytes(self, tmp_path):
+        table = OpinionTable(
+            [
+                Opinion("/animal/kitten", CUTE, 0.9, EvidenceCounts(4, 1)),
+                Opinion("/city/sf", VERY_BIG, 0.2, EvidenceCounts(0, 3)),
+            ]
+        )
+        renderer = JsonRenderer()
+        save(table, tmp_path / "warm.json", renderer)
+        table.add(Opinion("/animal/puppy", CUTE, 0.7, EvidenceCounts(2, 0)))
+        warm = save(table, tmp_path / "warm.json", renderer).read_text()
+        assert warm == save(table, tmp_path / "cold.json").read_text()
