@@ -66,6 +66,8 @@ echo "== strict-parity smoke (fast path vs reference, bit-identical) =="
 # Runs the mining pipeline with the extraction fast path verifying
 # every document and shard against the reference path; any divergence
 # raises ParityError and fails the run (see docs/performance.md).
+# Sentences repeat across documents and sentence positions, so later
+# documents take the memo-hit path that re-stamps cached statements.
 PARITY_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR" "$BENCH_DIR" "$PARITY_DIR"' EXIT
 printf '%s\n' \
@@ -73,11 +75,20 @@ printf '%s\n' \
     "I think that kittens are cute." \
     "The kitten is a cute animal. It is small." \
     "Tigers are not cute. The weather was nice." \
-    "Tigers are dangerous animals. Nothing to see here." > \
+    "Tigers are dangerous animals. Nothing to see here." \
+    "The weather was nice. Kittens are cute." \
+    "Tigers are not cute. Kittens are cute." \
+    "Kittens are cute. Tigers are not cute." \
+    "Tigers are dangerous animals." \
+    "I think that kittens are cute. Tigers are dangerous animals." > \
     "$PARITY_DIR/docs.txt"
 python -m repro mine "$PARITY_DIR/docs.txt" \
     --out "$PARITY_DIR/opinions.json" --threshold 1 \
-    --strict --strict-parity > /dev/null
+    --strict --strict-parity > /dev/null 2> "$PARITY_DIR/summary.txt" \
+    || { cat "$PARITY_DIR/summary.txt"; exit 1; }
+# The summary's fast-path line must show memo hits, or the repeats
+# no longer reach the re-stamp path this lane is meant to check.
+grep -q "memo_hits=[1-9]" "$PARITY_DIR/summary.txt"
 
 echo "== serve lane (async core smoke: boot, query, observability, reload, shutdown) =="
 # `repro serve` defaults to the asyncio event-loop core, so this lane

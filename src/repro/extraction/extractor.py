@@ -8,7 +8,7 @@ computes statement polarity, and accumulates evidence counts — the
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..core.errors import ExtractionError
 from ..core.types import Polarity
@@ -65,7 +65,9 @@ class EvidenceExtractor:
         When the annotator attached an ``extraction_cache`` (the
         sentence's matches are a pure function of its text and link
         context), the pattern matching and polarity work runs once per
-        cache line and later documents only re-stamp ``doc_id``. A
+        cache line and later documents only re-stamp ``doc_id``
+        (:meth:`EvidenceStatement.restamped`: a slot copy, as the
+        cached prototype was validated when it was built). A
         ledger samples each cache line once (``seen_lines`` identity
         check), so repeat visits of a shared sentence pay no
         provenance cost beyond that check; exact totals come from the
@@ -80,7 +82,7 @@ class EvidenceExtractor:
             if not protos:
                 return []
             found = [
-                s if s.doc_id == doc_id else replace(s, doc_id=doc_id)
+                s if s.doc_id == doc_id else s.restamped(doc_id)
                 for s in protos
             ]
             ledger = self.provenance

@@ -8,9 +8,8 @@ probabilistic model consumes (Section 3).
 
 from __future__ import annotations
 
-
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..core.types import (
     EvidenceCounts,
@@ -37,16 +36,45 @@ class EvidenceStatement:
     #: did. A pure function of the parsed sentence, so it is safe to
     #: cache across documents alongside the rest of the proto.
     negations: int = 0
+    #: The (property, type) combination the statement counts toward,
+    #: built once here so folding a statement builds no key. Derived
+    #: from ``property`` and ``entity_type``, so it takes no part in
+    #: ``==``, ``hash`` or ``repr``; it is pickled with the rest.
+    key: PropertyTypeKey = field(
+        init=False, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.polarity is Polarity.NEUTRAL:
             raise ValueError("statements are positive or negative")
-
-    @property
-    def key(self) -> PropertyTypeKey:
-        return PropertyTypeKey(
-            property=self.property, entity_type=self.entity_type
+        object.__setattr__(
+            self,
+            "key",
+            PropertyTypeKey(
+                property=self.property, entity_type=self.entity_type
+            ),
         )
+
+    def restamped(self, doc_id: str) -> "EvidenceStatement":
+        """This statement attributed to another document.
+
+        Equal to ``dataclasses.replace(self, doc_id=doc_id)`` but
+        copies the slots instead of re-running ``__init__`` and its
+        validation: ``self`` was validated when it was built, and
+        every other field, ``key`` included, carries over unchanged.
+        """
+        clone = _new_statement(EvidenceStatement)
+        for name in _COPIED_SLOTS:
+            _set_slot(clone, name, getattr(self, name))
+        _set_slot(clone, "doc_id", doc_id)
+        return clone
+
+
+_new_statement = object.__new__
+_set_slot = object.__setattr__
+_COPIED_SLOTS = tuple(
+    name for name in EvidenceStatement.__slots__ if name != "doc_id"
+)
 
 
 class EvidenceCounter:

@@ -288,10 +288,15 @@ class Annotator:
         # including skipped ones — because any sentence's
         # disambiguation may read it. Tags never affect it (punctuation
         # lemmas are not type nouns), so cached contributions suffice.
+        # Only ambiguous candidates read it, so a document without
+        # one leaves it empty.
         context: dict[str, int] = {}
-        for entry in entries:
-            for indicated, count in entry.contribution.items():
-                context[indicated] = context.get(indicated, 0) + count
+        if any(entry.ambiguous_types for entry in entries):
+            for entry in entries:
+                for indicated, count in entry.contribution.items():
+                    context[indicated] = (
+                        context.get(indicated, 0) + count
+                    )
 
         # A resolver only has observable effects when some sentence in
         # the document contains a resolvable pronoun — otherwise it
@@ -407,13 +412,16 @@ class Annotator:
         The fourth element is the shared extraction scratch dict for
         this (sentence, context) cache line.
         """
-        key = (
-            raw,
+        ambiguous_types = entry.ambiguous_types
+        context_key = (
             tuple(
                 min(context.get(entity_type, 0), 999)
-                for entity_type in entry.ambiguous_types
-            ),
+                for entity_type in ambiguous_types
+            )
+            if ambiguous_types
+            else ()
         )
+        key = (raw, context_key)
         cached = self.memo.get_links(key)
         if cached is None:
             mentions, linked, dropped = self.linker.resolve(

@@ -14,9 +14,10 @@ Design constraints:
   and the parent :meth:`Tracer.adopt`\\ s them — assigning fresh span
   ids and re-parenting the worker's root spans under the parent span of
   the caller's choosing.
-* **Near-zero cost when disabled.** ``Tracer(enabled=False)`` hands out
-  a shared null span through :data:`NULL_SPAN`; instrumented code pays
-  one attribute check and an empty context manager.
+* **Near-zero cost when disabled.** ``Tracer(enabled=False).span``
+  returns the shared null span :data:`NULL_SPAN`, which is its own
+  context manager; instrumented code pays one attribute check and two
+  empty method calls, no generator frame.
 * **Deterministic schema.** Spans serialize to JSONL with a leading
   header record (:data:`TRACE_SCHEMA_VERSION`), validated by
   :func:`validate_trace`.
@@ -29,7 +30,7 @@ import math
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, ContextManager, Iterator
 
 from ..core.errors import ReproError
 from .perf import MemoryProbe, start_tracemalloc
@@ -83,13 +84,24 @@ class SpanHandle:
 
 
 class _NullSpan:
-    """Shared no-op span handed out by disabled tracers."""
+    """Shared no-op span handed out by disabled tracers.
+
+    It is also the context manager :meth:`Tracer.span` returns when
+    disabled: entering yields the span itself and exiting lets any
+    exception propagate.
+    """
 
     __slots__ = ()
     span_id = -1
 
     def set(self, key: str, value: Any) -> None:
         pass
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        return None
 
 
 #: The singleton null span; also usable by modules that duck-type the
@@ -144,18 +156,23 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._spans)
 
-    @contextmanager
     def span(
         self, name: str, kind: str = "span", **attrs: Any
-    ) -> Iterator[SpanHandle | _NullSpan]:
+    ) -> ContextManager[SpanHandle | _NullSpan]:
         """Open a span; nests under the innermost open span.
 
         A body that raises marks the span ``status="error"`` with the
-        exception type in ``error`` and re-raises.
+        exception type in ``error`` and re-raises. A disabled tracer
+        returns :data:`NULL_SPAN` and records nothing.
         """
         if not self.enabled:
-            yield NULL_SPAN
-            return
+            return NULL_SPAN
+        return self._open(name, kind, attrs)
+
+    @contextmanager
+    def _open(
+        self, name: str, kind: str, attrs: dict[str, Any]
+    ) -> Iterator[SpanHandle]:
         span_id = self._next_id
         self._next_id += 1
         record: dict[str, Any] = {
@@ -165,7 +182,7 @@ class Tracer:
             "kind": kind,
             "start_unix": time.time(),
             "duration": 0.0,
-            "attrs": dict(attrs),
+            "attrs": attrs,
             "status": "ok",
         }
         self._stack.append(span_id)

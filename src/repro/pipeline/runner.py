@@ -584,6 +584,10 @@ class SurveyorPipeline:
                 self.tracer, "profile_memory", False
             ),
         )
+        # Per-document histogram samples are only ever replayed into
+        # a registry (see _merge_telemetry), so without one none are
+        # built.
+        observe = self.registry is not None
         observations: list[tuple[str, float]] = []
         counter = EvidenceCounter()
         dead: list[DeadLetter] = []
@@ -624,10 +628,11 @@ class SurveyorPipeline:
                             text=str(document.text),
                         )
                     )
-                    observations.append((
-                        "repro_document_seconds",
-                        time.perf_counter() - doc_started,
-                    ))
+                    if observe:
+                        observations.append((
+                            "repro_document_seconds",
+                            time.perf_counter() - doc_started,
+                        ))
                     continue
                 if parity:
                     ref_statements = ref_extractor.extract_document(
@@ -644,18 +649,19 @@ class SurveyorPipeline:
                         )
                     ref_counter.add_all(ref_statements)
                 counter.add_all(statements)
-                observations.append((
-                    "repro_document_seconds",
-                    time.perf_counter() - doc_started,
-                ))
-                observations.append((
-                    "repro_statements_per_document",
-                    float(len(statements)),
-                ))
-                observations.append((
-                    "repro_sentences_per_document",
-                    float(len(annotated.sentences)),
-                ))
+                if observe:
+                    observations.append((
+                        "repro_document_seconds",
+                        time.perf_counter() - doc_started,
+                    ))
+                    observations.append((
+                        "repro_statements_per_document",
+                        float(len(statements)),
+                    ))
+                    observations.append((
+                        "repro_sentences_per_document",
+                        float(len(annotated.sentences)),
+                    ))
             shard_span.set("documents", extractor.stats.documents)
             shard_span.set("quarantined", len(dead))
             fastpath = annotator.fastpath_stats

@@ -261,15 +261,38 @@ class HttpProtocol(asyncio.Protocol):
                 self._protocol_error(400, "malformed request line")
                 return
             headers: dict[bytes, bytes] = {}
+            conflicting = False
             if line_end >= 0:
                 for raw in head[line_end + 2:].split(_CRLF):
                     key, sep, value = raw.partition(b":")
                     if sep:
-                        headers[key.strip().lower()] = value.strip()
+                        name = key.strip().lower()
+                        value = value.strip()
+                        if (
+                            name == b"content-length"
+                            and headers.get(name, value) != value
+                        ):
+                            conflicting = True
+                        headers[name] = value
+            if b"transfer-encoding" in headers:
+                # Only Content-Length framing is implemented; a
+                # chunked body would be read as the next request.
+                self._refuse_framing(
+                    parts, headers, 501, "not_implemented",
+                    "Transfer-Encoding is not supported; "
+                    "send a Content-Length body",
+                )
+                return
             length = 0
             raw_length = headers.get(b"content-length")
             if raw_length is not None:
+                # ASCII digits only: int() would also take a sign
+                # and underscores, and a negative length would rewind
+                # the buffer into the head. int() still refuses more
+                # digits than its conversion limit.
                 try:
+                    if conflicting or not raw_length.isdigit():
+                        raise ValueError(raw_length)
                     length = int(raw_length)
                 except ValueError:
                     self._protocol_error(
@@ -279,7 +302,11 @@ class HttpProtocol(asyncio.Protocol):
             if length > MAX_BODY_BYTES:
                 # Mirror the threaded 413 envelope; the unread body
                 # cannot be skipped safely, so the connection closes.
-                self._oversized_body(parts, headers, length)
+                self._refuse_framing(
+                    parts, headers, 413, "bad_request",
+                    f"body of {length} bytes exceeds "
+                    f"{MAX_BODY_BYTES}",
+                )
                 return
             body_start = head_end + 4
             if len(self.buf) - body_start < length:
@@ -828,13 +855,18 @@ class HttpProtocol(asyncio.Protocol):
         if self.transport is not None:
             self.transport.close()
 
-    def _oversized_body(
+    def _refuse_framing(
         self,
         parts: list[bytes],
         headers: dict[bytes, bytes],
-        length: int,
+        status: int,
+        code: str,
+        message: str,
     ) -> None:
-        """Same 413 message as the threaded ``_read_json_body``."""
+        """Answer a request whose body cannot be framed, then close:
+        the unread body cannot be skipped safely. The 413 for an
+        oversized body keeps the threaded ``_read_json_body`` message.
+        """
         raw_id = headers.get(b"x-request-id", b"")
         supplied = raw_id.decode("latin-1") if raw_id else ""
         request_id = (
@@ -848,11 +880,7 @@ class HttpProtocol(asyncio.Protocol):
             time.perf_counter(), True,
         )
         try:
-            self._send_error(
-                ctx, 413, "bad_request",
-                f"body of {length} bytes exceeds "
-                f"{MAX_BODY_BYTES}",
-            )
+            self._send_error(ctx, status, code, message)
         except (BrokenPipeError, OSError):
             pass
         self.closed = True

@@ -79,6 +79,28 @@ class TestTracer:
         assert len(tracer) == 0
         assert tracer.export_spans() == []
 
+    def test_disabled_span_is_the_shared_null_span(self):
+        tracer = Tracer(enabled=False)
+        # one shared context manager, no per-call generator frame
+        assert tracer.span("document", kind="document") is NULL_SPAN
+        assert tracer.span("shard", shard_id=1) is NULL_SPAN
+        with tracer.span("outer") as outer:
+            with tracer.span("inner") as inner:
+                assert outer is inner is NULL_SPAN
+        assert len(tracer) == 0
+
+    def test_disabled_span_reraises_and_records_nothing(self):
+        tracer = Tracer(enabled=False)
+        with pytest.raises(KeyError):
+            with tracer.span("doomed", kind="document") as span:
+                assert span is NULL_SPAN
+                raise KeyError("boom")
+        # the shared span is still usable afterwards
+        with tracer.span("after") as span:
+            span.set("documents", 1)
+        assert len(tracer) == 0
+        assert tracer.export_spans() == []
+
     def test_adopt_reparents_worker_roots(self):
         parent = Tracer()
         with parent.span("map", kind="stage"):

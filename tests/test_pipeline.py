@@ -307,6 +307,55 @@ class TestObservabilityIntegration:
             )
             assert record.log_likelihoods
 
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_per_document_histograms_count_every_document(
+        self, small_kb, cute_scenario, executor
+    ):
+        report, _, registry = self.run_with_executor(
+            small_kb, cute_scenario, executor
+        )
+        histograms = registry.to_dict()["metrics"]
+        documents = report.metrics.stage("map").counters["documents"]
+        assert documents > 0
+        for name in (
+            "repro_document_seconds",
+            "repro_statements_per_document",
+            "repro_sentences_per_document",
+        ):
+            assert histograms[name]["count"] == documents, name
+        assert histograms["repro_statements_per_document"]["sum"] == (
+            report.evidence.n_statements
+        )
+
+    def test_document_spans_cover_every_document(
+        self, small_kb, cute_scenario
+    ):
+        report, tracer, _ = self.run_with_executor(
+            small_kb, cute_scenario, "serial"
+        )
+        documents = [
+            span for span in tracer.export_spans()
+            if span["kind"] == "document"
+        ]
+        assert len(documents) == (
+            report.metrics.stage("map").counters["documents"]
+        )
+        assert sum(s["attrs"]["statements"] for s in documents) == (
+            report.evidence.n_statements
+        )
+        assert all(s["attrs"]["sentences"] > 0 for s in documents)
+
+    def test_untelemetered_shard_ships_no_observations(
+        self, small_kb, cute_scenario
+    ):
+        corpus = CorpusGenerator(seed=31).generate(cute_scenario)
+        pipeline = SurveyorPipeline(kb=small_kb, occurrence_threshold=10)
+        (shard,) = corpus.shards(1)
+        telemetry = pipeline._map_shard(shard).telemetry
+        assert telemetry.observations == ()
+        assert telemetry.spans == ()
+        assert telemetry.counters["documents"] == len(corpus)
+
     def test_untraced_run_has_no_telemetry_artifacts(
         self, small_kb, cute_scenario
     ):

@@ -14,9 +14,12 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.corpus import CorpusGenerator, NoiseProfile
+from repro.corpus import CorpusGenerator, Document, NoiseProfile, WebCorpus
 from repro.evaluation import EvaluationHarness
 from repro.extraction import (
     EvidenceCounter,
@@ -38,6 +41,7 @@ from repro.nlp.prefilter import (
     strict_parity_default,
 )
 from repro.pipeline import SurveyorPipeline
+from repro.storage import provenance_path_for, save
 
 
 class TestAhoCorasick:
@@ -306,6 +310,111 @@ class TestDifferentialParity:
         assert ExtractionStats(1, 2, 3, 2, 1) != ExtractionStats(
             1, 2, 4, 2, 2
         )
+
+
+#: Sentences repeated across documents and sentence positions, so
+#: later documents take the memo-hit path (statements re-stamped from
+#: a cached prototype), plus the ambiguous "Buffalo" under a city
+#: context, an animal context and none (dropped).
+REPEATED_TEXTS = [
+    "Kittens are cute. Snakes are not cute.",
+    "Snakes are not cute. Kittens are cute.",
+    "Buffalo is big. I love this city.",
+    "The animal was old. Buffalo is big.",
+    "Buffalo is big.",
+    "Kittens are cute. Buffalo is big. We saw the city.",
+    "Snakes are never cute. Kittens are cute. Kittens are cute.",
+    "Tigers are not very cute. Golf is boring.",
+]
+
+
+#: Lineage pairs (counts and samples) of a fast-path mine of
+#: :data:`REPEATED_TEXTS`, as a ``dataclasses.replace`` re-stamp wrote
+#: them; the slot-copy re-stamp must not move a byte.
+PAIRS_GOLDEN = (
+    Path(__file__).parent / "data" / "repeated_corpus_pairs.golden.json"
+)
+
+
+def _repeated_corpus() -> WebCorpus:
+    corpus = WebCorpus()
+    for copy in range(3):
+        for index, text in enumerate(REPEATED_TEXTS):
+            corpus.add(Document(f"doc-{copy}-{index}", text))
+    return corpus
+
+
+class TestRepeatedSentenceParity:
+    """Memo hits re-stamp cached statements; the result must be what
+    the reference path builds from scratch."""
+
+    def test_statements_and_counters_equal_reference(self, small_kb):
+        documents = _repeated_corpus().documents
+        fast, reference = _run_both_paths(small_kb, documents)
+        assert fast[0] == reference[0]
+        assert [
+            (s.doc_id, s.sentence, s.negations) for s in fast[0]
+        ] == [
+            (s.doc_id, s.sentence, s.negations) for s in reference[0]
+        ]
+        assert [s.key for s in fast[0]] == [s.key for s in reference[0]]
+        assert fast[1] == reference[1]
+        assert fast[2] == reference[2]
+        assert fast[3] == reference[3]
+        # the corpus exercises what it is meant to
+        entities = {s.entity_id for s in fast[0]}
+        assert {"/city/buffalo", "/animal/buffalo"} <= entities
+        assert any(s.negations == 1 for s in fast[0])
+        assert {s.doc_id for s in fast[0]} >= {
+            "doc-2-0", "doc-2-1", "doc-2-6"
+        }
+
+    def test_memo_hits_restamp_the_cached_prototypes(self, small_kb):
+        annotator = Annotator(small_kb, share_memo=False)
+        extractor = EvidenceExtractor()
+        found = {}
+        for document in _repeated_corpus().documents:
+            annotated = annotator.annotate(document.doc_id, document.text)
+            for statement in extractor.extract_document(annotated):
+                found.setdefault(statement.sentence, []).append(
+                    statement
+                )
+        assert annotator.fastpath_stats.memo_hits > 0
+        kittens = found["Kittens are cute ."]
+        assert len({s.doc_id for s in kittens}) > 1
+        # every copy shares its prototype's key object
+        assert len({id(s.key) for s in kittens}) == 1
+
+    def test_table_and_sidecar_are_byte_identical(
+        self, small_kb, tmp_path
+    ):
+        written = {}
+        for name, fast in (("fast", True), ("reference", False)):
+            report = SurveyorPipeline(
+                kb=small_kb,
+                occurrence_threshold=1,
+                fast_path=fast,
+                provenance=True,
+            ).run(_repeated_corpus())
+            out = tmp_path / name / "opinions.json"
+            out.parent.mkdir()
+            save(report.opinions, out)
+            save(report.provenance, provenance_path_for(out))
+            written[name] = (
+                out.read_bytes(),
+                json.loads(provenance_path_for(out).read_bytes()),
+            )
+        fast_table, fast_sidecar = written["fast"]
+        reference_table, reference_sidecar = written["reference"]
+        assert fast_table == reference_table
+        # The fast path samples each distinct sentence once, so its
+        # lineage differs from the reference path's by design; the
+        # golden pins it instead.
+        for section in ("models", "convergence"):
+            assert fast_sidecar[section] == reference_sidecar[section]
+        golden = json.loads(PAIRS_GOLDEN.read_text())
+        assert fast_sidecar["pairs"] == golden
+        assert "/city/buffalo" in golden["big|city"]
 
 
 class TestStrictParityPipeline:
